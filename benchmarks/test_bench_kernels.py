@@ -52,7 +52,7 @@ def test_raw_engine_mx9_reference(benchmark, data):
 
 def test_planned_path_cold_vs_warm(benchmark, data):
     """Steady-state planned execution: every call after the first reuses the
-    cached QuantPlan (geometry + scratch).  The plan cache is cleared once
+    cached QuantPlan (geometry).  The plan cache is cleared once
     up front so the timed calls include exactly one cold plan build."""
     config = BDRConfig.mx(m=4)
     clear_plan_cache()

@@ -460,7 +460,7 @@ def _cmd_bench_decode(argv: list[str]) -> int:
 
 
 def _cmd_bench_forward(argv: list[str]) -> int:
-    """Batched forward throughput: pre-residency vs fused schedule."""
+    """Batched forward throughput: fusion stages off vs fused schedule."""
     import numpy as np
 
     from .serve.bench import measure_forward_speedup
@@ -468,7 +468,7 @@ def _cmd_bench_forward(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench-forward",
         description="Benchmark the batched scored-forward path: the "
-        "pre-residency schedule (REPRO_FUSION=0 semantics) vs quantized "
+        "fusion stages off (REPRO_FUSION=0 semantics) vs quantized "
         "activation residency + the fused projection/epilogue pipeline.",
     )
     parser.add_argument("--model", default="GPT-S", help="GPT ladder member (default GPT-S)")
@@ -493,7 +493,7 @@ def _cmd_bench_forward(argv: list[str]) -> int:
 
     def report(result):
         fam = result["family"]
-        print(f"[{fam}] pre-residency  : {result['baseline_rps']:10.1f} req/s  "
+        print(f"[{fam}] fusion off     : {result['baseline_rps']:10.1f} req/s  "
               f"({result['baseline_quant_calls_per_request']:.1f} quantize calls/req)")
         print(f"[{fam}] fused/resident : {result['fused_rps']:10.1f} req/s  "
               f"({result['fused_quant_calls_per_request']:.1f} quantize calls/req)")

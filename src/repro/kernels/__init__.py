@@ -5,7 +5,7 @@ the format adapters, the nn compute flow, and the Figure 7 sweep — dispatches
 through a registered :class:`~repro.kernels.base.KernelBackend`:
 
 * ``"numpy"`` (default): fused, allocation-lean kernels with plan-cached
-  blocking and scratch reuse (:mod:`repro.kernels.numpy_backend`);
+  blocking (:mod:`repro.kernels.numpy_backend`);
 * ``"reference"``: the original straight-line engine, kept as the
   bit-exactness oracle (:mod:`repro.kernels.reference`).
 
@@ -14,14 +14,7 @@ Select with ``REPRO_KERNEL_BACKEND``, :func:`set_backend`, or the
 """
 
 from .base import EPILOGUES, KernelBackend, QuantizeResult, gelu_reference
-from .plan import (
-    QuantPlan,
-    checkout_scratch,
-    clear_plan_cache,
-    get_plan,
-    plan_cache_info,
-    release_scratch,
-)
+from .plan import QuantPlan, clear_plan_cache, get_plan, plan_cache_info
 from .registry import (
     DEFAULT_BACKEND,
     ENV_VAR,
@@ -41,8 +34,6 @@ __all__ = [
     "get_plan",
     "clear_plan_cache",
     "plan_cache_info",
-    "checkout_scratch",
-    "release_scratch",
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "get_backend",

@@ -17,7 +17,7 @@ across the whole design space) while doing strictly less work per call:
   code clamp folded into the shifted window as one ``np.clip``;
 * pow2 kernels are single-buffer: the output array itself carries the
   absolute values, the rounding quotient, and the clipped codes through
-  ``out=`` stages (software-scaled families keep a plan-cached scratch);
+  ``out=`` stages (software-scaled families use one scratch buffer);
 * blocking is a pure reshape view when the axis length divides ``k1``
   (every nn layer and the whole Figure 7 sweep), via the
   :class:`~repro.kernels.plan.QuantPlan` cache.
@@ -43,19 +43,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.rounding import apply_rounding
-from ..core.runtime_env import fusion_env_enabled
 from ..core.scaling import amax_scale, exponent_range
 from .base import KernelBackend, _SQRT_2_OVER_PI, check_epilogue
-from .plan import checkout_scratch, get_plan, release_scratch
+from .plan import get_plan
 from .reference import ReferenceBackend, _as_fp32, _broadcast_override
 
 __all__ = ["NumpyBackend"]
 
 _REFERENCE = ReferenceBackend()
 
-#: Below this element count the plan/scratch machinery (LRU lock traffic,
-#: checkout bookkeeping) costs more than it saves; such calls run through
-#: the plan-free kernel instead.  Single-token decode steps live here.
+#: Below this element count the plan machinery (LRU lock traffic) costs
+#: more than it saves; such calls run through the plan-free kernel
+#: instead.  Single-token decode steps live here.
 _SMALL_SIZE = 8192
 
 #: Target tile size (elements) for chunking large pow2 quantizations.
@@ -65,27 +64,6 @@ _SMALL_SIZE = 8192
 #: which measures 25-40% faster than one full-array pass once the
 #: buffers spill.  Calls near the target run whole.
 _TILE_ELEMS = 24576
-
-#: When True, pow2 kernels run the *pre-residency* execution strategy
-#: (separate scratch and output buffers, maximum/minimum clamp pair, no
-#: tiling) — bit-identical values, historical schedule.  Controlled by
-#: the fusion switchboard (:func:`repro.nn.residency.configure_fusion`)
-#: so that ``REPRO_FUSION=0`` benchmarks compare the fused schedule
-#: against exactly what the pre-residency code executed, kernels
-#: included; the process-start default shares the switchboard's parser.
-_LEGACY_SCHEDULE = not fusion_env_enabled()
-
-
-def set_legacy_schedule(enabled: bool) -> bool:
-    """Select the pre-residency kernel schedule; returns the previous flag."""
-    global _LEGACY_SCHEDULE
-    previous = _LEGACY_SCHEDULE
-    _LEGACY_SCHEDULE = bool(enabled)
-    return previous
-
-
-def legacy_schedule() -> bool:
-    return _LEGACY_SCHEDULE
 
 #: Adding then subtracting 1.5 * 2^52 rounds float64 to the nearest integer
 #: (ties to even) using two adds instead of a libm rint pass.
@@ -122,8 +100,7 @@ class NumpyBackend(KernelBackend):
                         x, config, axis, rounding, rng, scale_override, detailed
                     )
             if (
-                not _LEGACY_SCHEDULE
-                and scale_override is None
+                scale_override is None
                 and x.size > 2 * _TILE_ELEMS
                 and x.ndim > 1
             ):
@@ -133,7 +110,7 @@ class NumpyBackend(KernelBackend):
 
         plan = get_plan(x.shape, axis, config.k1, config.k2, x.dtype)
         blocked = plan.block(x)
-        if config.s_type == "pow2" and not _LEGACY_SCHEDULE:
+        if config.s_type == "pow2":
             # single-buffer: the freshly allocated output array doubles as
             # the working scratch (|x|, quotients, codes, values in turn),
             # shrinking the kernel's cache footprint to input + output
@@ -141,33 +118,15 @@ class NumpyBackend(KernelBackend):
                 values = _pow2_fused(blocked, np.empty(plan.blocked_shape),
                                      plan.sub_shape, config, rounding, rng)
             except _NonFiniteInput:
-                values = None
-        elif config.s_type == "pow2":
-            work = plan.checkout()
-            try:
-                values = _pow2_fused_legacy(blocked, work, plan.sub_shape,
-                                            config, rounding, rng)
-            except _NonFiniteInput:
-                values = None
-            finally:
-                plan.release(work)
+                return _REFERENCE.quantize(
+                    x, config, axis, rounding, rng, scale_override, detailed
+                )
+        elif config.ss_type == "int":
+            values = _vsq_fused(blocked, np.empty(plan.blocked_shape), plan,
+                                config, rounding, rng, scale_override)
         else:
-            work = plan.checkout()
-            try:
-                if config.ss_type == "int":
-                    values = _vsq_fused(blocked, work, plan, config, rounding,
-                                        rng, scale_override)
-                else:
-                    values = _int_fused(blocked, work, config, rounding, rng,
-                                        scale_override)
-            except _NonFiniteInput:
-                values = None
-            finally:
-                plan.release(work)
-        if values is None:
-            return _REFERENCE.quantize(
-                x, config, axis, rounding, rng, scale_override, detailed
-            )
+            values = _int_fused(blocked, np.empty(plan.blocked_shape), config,
+                                rounding, rng, scale_override)
         return plan.restore(values)
 
     def _pow2_tiled(self, x, config, axis, rounding, rng):
@@ -217,9 +176,9 @@ class NumpyBackend(KernelBackend):
 
         The product lands directly in the output buffer (no intermediate
         handoff), the bias add and GELU run as in-place ufuncs on it, and
-        the single GELU temporary (the tanh argument) comes from the
-        shared scratch pool.  Every elementwise op matches the unfused
-        reference sequence in operation and association order, so results
+        a single GELU temporary holds the tanh argument.  Every
+        elementwise op matches the unfused reference sequence in
+        operation and association order, so results
         are bit-identical to :meth:`KernelBackend.matmul_epilogue` (the
         equivalence suite asserts this across formats and shapes).
         """
@@ -234,25 +193,21 @@ class NumpyBackend(KernelBackend):
 
 
 def _gelu_inplace(out: np.ndarray) -> None:
-    """Tanh-GELU on ``out`` in place, scratch-pooled single temporary.
+    """Tanh-GELU on ``out`` in place with a single temporary.
 
     Mirrors ``x * (tanh((x + (x*x)*x * 0.044715) * sqrt(2/pi)) + 1) * 0.5``
     with the reference association order, so each element sees the exact
     same float64 operation sequence as the unfused path.
     """
-    scratch = checkout_scratch(out.shape)
-    try:
-        np.multiply(out, out, out=scratch)      # x * x
-        scratch *= out                          # (x * x) * x
-        scratch *= 0.044715
-        scratch += out                          # x + x^3 * 0.044715 (add commutes)
-        scratch *= _SQRT_2_OVER_PI
-        np.tanh(scratch, out=scratch)
-        scratch += 1.0
-        out *= scratch                          # x * (tanh(inner) + 1)
-        out *= 0.5
-    finally:
-        release_scratch(scratch)
+    inner = np.multiply(out, out)           # x * x
+    inner *= out                            # (x * x) * x
+    inner *= 0.044715
+    inner += out                            # x + x^3 * 0.044715 (add commutes)
+    inner *= _SQRT_2_OVER_PI
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out *= inner                            # x * (tanh(inner) + 1)
+    out *= 0.5
 
 
 def _pow2_exponents_safe(config) -> bool:
@@ -262,7 +217,7 @@ def _pow2_exponents_safe(config) -> bool:
 
 
 def _pow2_noplan(x, config, axis, rounding, rng):
-    """Plan-free pow2 kernel: same fused math, no LRU/scratch traffic.
+    """Plan-free pow2 kernel: same fused math, no LRU traffic.
 
     Used for small arrays and the partial-block entry point; blocking is a
     local moveaxis + zero-pad + reshape, so nothing is cached and nothing
@@ -284,8 +239,7 @@ def _pow2_noplan(x, config, axis, rounding, rng):
     blocked = padded.reshape(lead + (blocks, config.k1))
     work = np.empty(blocked.shape, dtype=np.float64)
     sub_shape = lead + (blocks, config.k1 // config.k2, config.k2)
-    body = _pow2_fused_legacy if _LEGACY_SCHEDULE else _pow2_fused
-    values = body(blocked, work, sub_shape, config, rounding, rng)
+    values = _pow2_fused(blocked, work, sub_shape, config, rounding, rng)
     flat = values.reshape(lead + (n + pad,))
     if pad:
         flat = flat[..., :n]
@@ -422,50 +376,6 @@ def _round_clip_inplace(buf, qmax, rounding, rng):
     else:
         _round_inplace(buf, rounding, rng)
         np.clip(buf, -qmax, qmax, out=buf)
-
-
-def _pow2_fused_legacy(blocked, work, sub_shape, config, rounding, rng):
-    """The pre-residency pow2 body: plan scratch + separate output buffer.
-
-    Bit-identical to :func:`_pow2_fused` (same math on the same blocks);
-    kept verbatim so the ``REPRO_FUSION=0`` baseline reproduces the
-    historical execution strategy the fused schedule is benchmarked
-    against.
-    """
-    lo, hi = exponent_range(config.d1)
-    blocked_shape = blocked.shape
-    np.abs(blocked, out=work)
-
-    if config.ss_type == "pow2":
-        sub_exp = _floor_exponents(_last_axis_max(work.reshape(sub_shape)))
-        raw_block = _last_axis_max(sub_exp)
-        if raw_block.size and int(raw_block.max()) >= 1024:
-            raise _NonFiniteInput
-        exp = np.minimum(np.maximum(raw_block, lo), hi)
-        np.maximum(sub_exp, lo, out=sub_exp)
-        np.minimum(sub_exp, hi, out=sub_exp)
-        e = np.maximum(sub_exp, exp[..., None] - config.beta)
-        e -= config.m - 1
-        step, inv_step = _pow2_and_reciprocal(e)
-        _mul_subscale(blocked.reshape(sub_shape), inv_step,
-                      work.reshape(sub_shape))
-    else:
-        raw = _floor_exponents(_last_axis_max(work))
-        if raw.size and int(raw.max()) >= 1024:
-            raise _NonFiniteInput
-        exp = np.minimum(np.maximum(raw, lo), hi)
-        step, inv_step = _pow2_and_reciprocal(exp - (config.m - 1))
-        _mul_subscale(blocked, inv_step, work)
-
-    _round_inplace(work, rounding, rng)
-    np.maximum(work, -config.qmax, out=work)
-    np.minimum(work, config.qmax, out=work)
-    if config.ss_type == "pow2":
-        values = np.empty(sub_shape)
-        _mul_subscale(work.reshape(sub_shape), step, values)
-        return values.reshape(blocked_shape)
-    values = np.empty(blocked_shape)
-    return _mul_subscale(work, step, values)
 
 
 def _int_fused(blocked, work, config, rounding, rng, scale_override):

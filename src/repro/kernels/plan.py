@@ -1,19 +1,13 @@
-"""Quantization plans: precomputed blocking geometry plus reusable scratch.
+"""Quantization plans: precomputed blocking geometry.
 
 Every call into the fast backend re-derives the same facts from its
 arguments: where the block axis lands after ``moveaxis``, whether the axis
 length divides ``k1`` (no padding -> pure-view blocking), the blocked and
 sub-blocked shapes, and how to restore the output.  A :class:`QuantPlan`
-computes all of that once per ``(shape, axis, k1, k2, dtype)`` and keeps a
-checkout-based scratch buffer so repeated same-shape calls — every training
-step, every sweep chunk — reuse one allocation instead of half a dozen
-full-size temporaries.
-
-Plans are cached in a bounded LRU keyed on the tuple above.  The scratch
-buffer uses checkout semantics: :meth:`QuantPlan.checkout` hands out the
-cached buffer (or a fresh one if it is already in use), and
-:meth:`QuantPlan.release` returns it — so reentrant or concurrent use
-degrades to allocation instead of corrupting in-flight data.
+computes all of that once per ``(shape, axis, k1, k2, dtype)``; plans are
+cached in a bounded LRU keyed on that tuple.  Kernels allocate their
+working buffers per call — a buffer the size of the input costs far less
+than retaining one for every shape a decode ever visits.
 """
 
 from __future__ import annotations
@@ -28,26 +22,19 @@ __all__ = [
     "get_plan",
     "clear_plan_cache",
     "plan_cache_info",
-    "checkout_scratch",
-    "release_scratch",
 ]
 
 #: Maximum number of cached plans; old entries are evicted LRU-first.
 MAX_PLANS = 128
-#: Aggregate cap on scratch bytes retained across all cached plans; a
-#: release that would exceed it simply drops the buffer (allocation per
-#: call, exactly the pre-cache behaviour).
-MAX_SCRATCH_BYTES = 256 * 1024 * 1024
 
 _CACHE: OrderedDict[tuple, "QuantPlan"] = OrderedDict()
 _LOCK = threading.Lock()
 _HITS = 0
 _MISSES = 0
-_SCRATCH_BYTES = 0
 
 
 class QuantPlan:
-    """Blocking geometry and scratch for one ``(shape, axis, k1, k2)``.
+    """Blocking geometry for one ``(shape, axis, k1, k2)``.
 
     Attributes:
         blocked_shape: shape after blocking, ``(..., blocks, k1)``.
@@ -59,7 +46,6 @@ class QuantPlan:
     __slots__ = (
         "shape", "axis", "k1", "k2", "n", "pad", "needs_move",
         "moved_shape", "padded_shape", "blocked_shape", "sub_shape",
-        "_scratch", "_tracked",
     )
 
     def __init__(self, shape: tuple[int, ...], axis: int, k1: int, k2: int):
@@ -79,11 +65,6 @@ class QuantPlan:
         blocks = (self.n + self.pad) // k1
         self.blocked_shape = lead + (blocks, k1)
         self.sub_shape = lead + (blocks, k1 // k2, k2)
-        self._scratch: np.ndarray | None = None
-        #: True while the plan lives in the LRU; retained scratch of
-        #: tracked plans counts toward the global budget.  Plans built
-        #: directly (tests, ad-hoc use) stay untracked and unaccounted.
-        self._tracked = False
 
     # ------------------------------------------------------------------
     # Blocking / restoring
@@ -114,55 +95,6 @@ class QuantPlan:
             flat = np.moveaxis(flat, -1, self.axis)
         return flat
 
-    # ------------------------------------------------------------------
-    # Scratch checkout
-    # ------------------------------------------------------------------
-    def checkout(self) -> np.ndarray:
-        """Borrow the blocked-shape float64 scratch buffer.
-
-        The handoff happens under the cache lock, so two concurrent
-        callers can never receive the same buffer — the second one gets a
-        fresh allocation instead.
-        """
-        global _SCRATCH_BYTES
-        with _LOCK:
-            buf = self._scratch
-            if buf is not None:
-                self._scratch = None
-                if self._tracked:
-                    _SCRATCH_BYTES -= buf.nbytes
-                return buf
-        return np.empty(self.blocked_shape, dtype=np.float64)
-
-    def release(self, buf: np.ndarray) -> None:
-        """Return a buffer obtained from :meth:`checkout`.
-
-        Retained only while the plan holds no buffer and — for
-        cache-tracked plans — the aggregate scratch budget
-        (:data:`MAX_SCRATCH_BYTES`) has room.  A plan that was LRU-evicted
-        while its buffer was checked out is untracked by then, so the
-        buffer is retained without touching the global accounting and
-        simply dies with the unreachable plan.
-        """
-        global _SCRATCH_BYTES
-        with _LOCK:
-            if self._scratch is not None:
-                return
-            if not self._tracked:
-                self._scratch = buf
-                return
-            if _SCRATCH_BYTES + buf.nbytes <= MAX_SCRATCH_BYTES:
-                self._scratch = buf
-                _SCRATCH_BYTES += buf.nbytes
-
-    def _untrack_locked(self) -> None:
-        """Leave the accounted pool on eviction (caller holds the lock)."""
-        global _SCRATCH_BYTES
-        if self._tracked and self._scratch is not None:
-            _SCRATCH_BYTES -= self._scratch.nbytes
-            self._scratch = None
-        self._tracked = False
-
 
 def get_plan(shape: tuple[int, ...], axis: int, k1: int, k2: int,
              dtype: np.dtype) -> QuantPlan:
@@ -181,75 +113,17 @@ def get_plan(shape: tuple[int, ...], axis: int, k1: int, k2: int,
             return plan
         _MISSES += 1
         plan = QuantPlan(shape, axis, k1, k2)
-        plan._tracked = True
         _CACHE[key] = plan
         while len(_CACHE) > MAX_PLANS:
-            _, evicted = _CACHE.popitem(last=False)
-            evicted._untrack_locked()
+            _CACHE.popitem(last=False)
         return plan
 
 
-# ----------------------------------------------------------------------
-# Free-form scratch pool (epilogue temporaries)
-# ----------------------------------------------------------------------
-# The fused matmul epilogues need one full-size temporary per call (the
-# GELU inner term).  Epilogue output shapes are not quantization-plan
-# shapes, so they get their own shape-keyed pool with the same checkout
-# semantics as the plan scratch: take-or-allocate under the lock, retain
-# on release only while the shared MAX_SCRATCH_BYTES budget has room.
-# Concurrent callers of the same shape simply allocate — never share.
-_POOL: dict[tuple, list[np.ndarray]] = {}
-#: retained buffers per (shape, dtype) key; more concurrency than this
-#: degrades to plain allocation, exactly the pre-pool behaviour
-_POOL_DEPTH = 4
-
-
-def checkout_scratch(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """Borrow a scratch array of the given shape (contents undefined)."""
-    global _SCRATCH_BYTES
-    key = (tuple(shape), np.dtype(dtype).str)
-    with _LOCK:
-        stack = _POOL.get(key)
-        if stack:
-            buf = stack.pop()
-            _SCRATCH_BYTES -= buf.nbytes
-            return buf
-    return np.empty(shape, dtype=dtype)
-
-
-def release_scratch(buf: np.ndarray) -> None:
-    """Return a buffer obtained from :func:`checkout_scratch`.
-
-    Retained only while the aggregate scratch budget
-    (:data:`MAX_SCRATCH_BYTES`, shared with the plan scratch) has room and
-    the per-shape stack is not already :data:`_POOL_DEPTH` deep; dropped
-    (garbage-collected) otherwise.
-    """
-    global _SCRATCH_BYTES
-    key = (buf.shape, buf.dtype.str)
-    with _LOCK:
-        stack = _POOL.get(key)
-        depth = 0 if stack is None else len(stack)
-        if depth < _POOL_DEPTH and _SCRATCH_BYTES + buf.nbytes <= MAX_SCRATCH_BYTES:
-            if stack is None:
-                # only materialize the key when something is actually
-                # retained, so dropped releases cannot grow the dict
-                stack = _POOL[key] = []
-            stack.append(buf)
-            _SCRATCH_BYTES += buf.nbytes
-
-
 def clear_plan_cache() -> None:
-    """Drop every cached plan (and its scratch buffers)."""
-    global _HITS, _MISSES, _SCRATCH_BYTES
+    """Drop every cached plan."""
+    global _HITS, _MISSES
     with _LOCK:
-        for plan in _CACHE.values():
-            plan._untrack_locked()
         _CACHE.clear()
-        for stack in _POOL.values():
-            for buf in stack:
-                _SCRATCH_BYTES -= buf.nbytes
-        _POOL.clear()
         _HITS = 0
         _MISSES = 0
 
@@ -258,7 +132,4 @@ def plan_cache_info() -> dict:
     """Cache statistics for tests and diagnostics."""
     with _LOCK:
         return {"size": len(_CACHE), "hits": _HITS, "misses": _MISSES,
-                "max_size": MAX_PLANS, "scratch_bytes": _SCRATCH_BYTES,
-                "max_scratch_bytes": MAX_SCRATCH_BYTES,
-                "pool_shapes": len(_POOL),
-                "pool_buffers": sum(len(s) for s in _POOL.values())}
+                "max_size": MAX_PLANS}

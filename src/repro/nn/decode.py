@@ -87,6 +87,11 @@ class KVCache:
     :class:`~repro.nn.quantized.QuantSpec` *instance*: re-casting the
     model mid-decode would silently desynchronize payloads, so
     :meth:`append` rejects a changed spec.
+
+    :meth:`append` is the one cache algorithm; where rows land is left to
+    five storage hooks (``_write_k``, ``_write_v``, ``_stage_tail``,
+    ``_tail_raw``, ``_tail_store``) plus :meth:`reserve`, which
+    :class:`PagedKVCache` overrides to scatter into pool pages.
     """
 
     def __init__(
@@ -97,6 +102,17 @@ class KVCache:
         capacity: int,
         spec: QuantSpec | None,
     ):
+        self._bind(spec, head_dim, capacity)
+        self.kT = np.zeros((batch, num_heads, head_dim, capacity))
+        self.v = np.zeros((batch, num_heads, capacity, head_dim))
+        if self.fmt is None or self.block == 1:
+            self.v_raw = None  # rows are position-local, no tail to requantize
+        else:
+            tail = capacity if self.block is None else self.block
+            self.v_raw = np.zeros((batch, num_heads, tail, head_dim))
+
+    def _bind(self, spec: QuantSpec | None, head_dim: int, capacity: int) -> None:
+        """Adopt ``spec``'s activation format, refusing non-idempotent ones."""
         self.spec = spec
         fmt, rounding, rng = _activation_format(spec)
         if fmt is not None and (rounding == "stochastic" or fmt.cache_key() is None):
@@ -113,13 +129,6 @@ class KVCache:
         self.block = fmt.block_size() if fmt is not None else 1
         self.head_dim = head_dim
         self.capacity = capacity
-        self.kT = np.zeros((batch, num_heads, head_dim, capacity))
-        self.v = np.zeros((batch, num_heads, capacity, head_dim))
-        if fmt is None or self.block == 1:
-            self.v_raw = None  # rows are position-local, no tail to requantize
-        else:
-            tail = capacity if self.block is None else self.block
-            self.v_raw = np.zeros((batch, num_heads, tail, head_dim))
         self.length = 0
         self.sealed = 0
 
@@ -135,13 +144,39 @@ class KVCache:
         return self.v[:, :, : self.length]
 
     def reset(self) -> None:
-        """Forget the history (sliding-window eviction keeps the buffers)."""
+        """Forget the history (the buffers, or pages, are kept for reuse)."""
         self.length = 0
         self.sealed = 0
 
     def rewind(self) -> None:
         """Drop the unsealed suffix; the next append recomputes it."""
         self.length = self.sealed
+
+    # ------------------------------------------------------------------
+    # Storage hooks: where rows land
+    # ------------------------------------------------------------------
+    def reserve(self, total: int) -> None:
+        """Make room for ``total`` positions (preallocated: nothing to do)."""
+
+    def _write_k(self, kq_t: np.ndarray, t0: int) -> None:
+        """Write pre-transposed K columns ``[t0, t0 + n)``."""
+        self.kT[:, :, :, t0 : t0 + kq_t.shape[-1]] = kq_t
+
+    def _write_v(self, vq: np.ndarray, t0: int) -> None:
+        """Write V payload rows ``[t0, t0 + n)``."""
+        self.v[:, :, t0 : t0 + vq.shape[2]] = vq
+
+    def _stage_tail(self, offset: int, rows: np.ndarray) -> None:
+        """Stage raw V rows at ``offset`` within the open tail."""
+        self.v_raw[:, :, offset : offset + rows.shape[2]] = rows
+
+    def _tail_raw(self, tail_len: int) -> np.ndarray:
+        """Raw staged rows of the open tail, ``(B, H, tail_len, head_dim)``."""
+        return self.v_raw[:, :, :tail_len]
+
+    def _tail_store(self, tail_len: int, vq: np.ndarray) -> None:
+        """Write the requantized open tail back into the V payload."""
+        self.v[:, :, self.sealed : self.sealed + tail_len] = vq
 
     # ------------------------------------------------------------------
     def _quantize_k(self, k_new: np.ndarray) -> np.ndarray:
@@ -153,6 +188,13 @@ class KVCache:
                 k_new, self.fmt, axis=-1, rounding=self.rounding, rng=self.rng
             )
         return self.fmt.quantize(k_new, axis=-1, rounding=self.rounding, rng=self.rng)
+
+    def _requantize_tail(self, tail_len: int) -> None:
+        """Quantize the staged open tail through the partial-block entry."""
+        self._tail_store(tail_len, quantize_partial_block(
+            self._tail_raw(tail_len), self.fmt, axis=-2,
+            rounding=self.rounding, rng=self.rng,
+        ))
 
     def append(
         self,
@@ -168,6 +210,8 @@ class KVCache:
         ``k_new``/``v_new`` are (B, H, T_new, head_dim) arrays.  K columns
         quantize per position; V seals every completed ``block``-row span
         (frozen until :meth:`reset`) and requantizes only the partial tail.
+        Storage grows first (:meth:`reserve`, all-or-nothing), so a failed
+        growth never leaves a half-appended cache.
 
         ``k_quantized`` marks ``k_new`` as already carrying this cache's
         K payload quantization (the fused step quantizes every stream's
@@ -178,8 +222,8 @@ class KVCache:
         """
         if spec is not ... and spec is not self.spec:
             raise ValueError(
-                "attention quant spec changed since this KVCache was built; "
-                "create a fresh decode state after re-casting a model"
+                f"attention quant spec changed since this {type(self).__name__} "
+                "was built; create a fresh decode state after re-casting a model"
             )
         t_new = k_new.shape[2]
         t0 = self.length
@@ -188,27 +232,27 @@ class KVCache:
                 f"KV cache overflow: {t0} cached + {t_new} new > "
                 f"capacity {self.capacity}"
             )
+        self.reserve(t0 + t_new)
         kq = k_new if k_quantized else self._quantize_k(k_new)
-        self.kT[:, :, :, t0 : t0 + t_new] = np.swapaxes(kq, -1, -2)
+        self._write_k(np.swapaxes(kq, -1, -2), t0)
 
-        if self.fmt is None:
-            self.v[:, :, t0 : t0 + t_new] = v_new
-            self.length = self.sealed = t0 + t_new
-            return
-        if self.block == 1:
-            self.v[:, :, t0 : t0 + t_new] = self.fmt.quantize(
-                v_new, axis=-2, rounding=self.rounding, rng=self.rng
-            )
+        if self.fmt is None or self.block == 1:
+            # position-local rows seal as soon as they are written
+            if self.fmt is not None:
+                v_new = self.fmt.quantize(
+                    v_new, axis=-2, rounding=self.rounding, rng=self.rng
+                )
+            self._write_v(v_new, t0)
             self.length = self.sealed = t0 + t_new
             return
         if self.block is None:
             # no block structure to exploit: requantize the whole history
-            self.v_raw[:, :, t0 : t0 + t_new] = v_new
+            self._stage_tail(t0, v_new)
             self.length = t0 + t_new
-            self.v[:, :, : self.length] = self.fmt.quantize(
-                self.v_raw[:, :, : self.length],
+            self._tail_store(self.length, self.fmt.quantize(
+                self._tail_raw(self.length),
                 axis=-2, rounding=self.rounding, rng=self.rng,
-            )
+            ))
             return
 
         block = self.block
@@ -220,71 +264,41 @@ class KVCache:
                 # whole blocks seal in one aligned quantization
                 whole = (remaining // block) * block
                 chunk = v_new[:, :, consumed : consumed + whole]
-                self.v[:, :, self.sealed : self.sealed + whole] = self.fmt.quantize(
-                    chunk, axis=-2, rounding=self.rounding, rng=self.rng
+                self._write_v(
+                    self.fmt.quantize(
+                        chunk, axis=-2, rounding=self.rounding, rng=self.rng
+                    ),
+                    self.sealed,
                 )
                 self.sealed += whole
                 self.length += whole
                 consumed += whole
                 continue
             take = min(block - tail_len, remaining)
-            self.v_raw[:, :, tail_len : tail_len + take] = v_new[
-                :, :, consumed : consumed + take
-            ]
+            self._stage_tail(tail_len, v_new[:, :, consumed : consumed + take])
             self.length += take
             consumed += take
             tail_len += take
             if tail_len == block:
-                self.v[:, :, self.sealed : self.sealed + block] = (
-                    quantize_partial_block(
-                        self.v_raw, self.fmt, axis=-2,
-                        rounding=self.rounding, rng=self.rng,
-                    )
-                )
+                self._requantize_tail(block)
                 self.sealed += block
         tail_len = self.length - self.sealed
         if tail_len and not defer_tail:
-            self.v[:, :, self.sealed : self.length] = quantize_partial_block(
-                self.v_raw[:, :, :tail_len], self.fmt, axis=-2,
-                rounding=self.rounding, rng=self.rng,
-            )
-
-    def _tail_raw(self, tail_len: int) -> np.ndarray:
-        """Raw staged rows of the open tail, ``(B, H, tail_len, head_dim)``."""
-        return self.v_raw[:, :, :tail_len]
-
-    def _tail_store(self, tail_len: int, vq: np.ndarray) -> None:
-        """Write the requantized open tail back into the V payload."""
-        self.v[:, :, self.sealed : self.sealed + tail_len] = vq
-
-    # ------------------------------------------------------------------
-    def project(self, attn, source) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``source``'s K/V projections; return the full payloads.
-
-        Kept for direct cache users;
-        :meth:`~repro.nn.attention.MultiHeadAttention._forward_cached` now
-        feeds self-attention caches through the fused Q/K/V projection
-        path and calls :meth:`append` itself.
-        """
-        k = attn._split_heads(attn.k_proj(source))
-        v = attn._split_heads(attn.v_proj(source))
-        self.append(k.data, v.data, spec=attn.quant)
-        return self.keys_t, self.values
+            self._requantize_tail(tail_len)
 
 
-class PagedKVCache:
-    """One sequence's quantized K/V history striped across pool pages.
+class PagedKVCache(KVCache):
+    """The :class:`KVCache` algorithm over one sequence's pool pages.
 
-    Drop-in for :class:`KVCache` (batch 1) except the backing memory
-    belongs to a shared page pool (``repro.serve.sched.PagePool`` shape):
-    each page holds exactly one level-1 V block of one layer, so the
-    sealed/open-tail invariant maps directly onto page granularity —
-    sealed blocks are frozen whole pages, and the single unsealed tail
-    block lives in the last page (its raw rows staged in the page's
-    ``v_raw`` area, requantized through the partial-block entry point
-    exactly as :meth:`KVCache.append` does).  Quantization inputs, call
-    shapes, and engine-call order are identical to the contiguous cache,
-    so the scattered payload is bit-for-bit the same data.
+    Batch 1; the backing memory belongs to a shared page pool
+    (``repro.serve.sched.PagePool`` shape): each page holds exactly one
+    level-1 V block of one layer, so the sealed/open-tail invariant maps
+    directly onto page granularity — sealed blocks are frozen whole
+    pages, and the single unsealed tail block lives in the last page (its
+    raw rows staged in the page's ``v_raw`` area).  Only the storage hooks
+    differ from the contiguous cache, so quantization inputs, call shapes
+    and engine-call order are identical and the scattered payload is
+    bit-for-bit the same data.
 
     Pages are checked out atomically *before* any write (growth either
     succeeds whole or raises ``PoolExhausted`` leaving the cache
@@ -294,18 +308,11 @@ class PagedKVCache:
 
     def __init__(self, pool, owner: str, num_heads: int, head_dim: int,
                  capacity: int, spec: QuantSpec | None):
-        self.spec = spec
-        fmt, rounding, rng = _activation_format(spec)
-        if fmt is not None and (rounding == "stochastic" or fmt.cache_key() is None):
-            raise ValueError(
-                "KV caching requires a stateless activation format with "
-                f"deterministic rounding; got {fmt!r} with rounding "
-                f"{rounding!r} (fall back to full-prefix recompute)"
-            )
-        block = fmt.block_size() if fmt is not None else 1
+        self._bind(spec, head_dim, capacity)
+        block = self.block
         if block is None:
             raise ValueError(
-                f"paged KV caching needs a known level-1 block size; {fmt!r} "
+                f"paged KV caching needs a known level-1 block size; {self.fmt!r} "
                 "has none (nothing seals, so pages could never freeze)"
             )
         if block > 1 and pool.page_size != block:
@@ -318,18 +325,10 @@ class PagedKVCache:
                 f"pool arena is ({pool.num_heads} heads, {pool.head_dim} dim); "
                 f"cache wants ({num_heads}, {head_dim})"
             )
-        self.fmt = fmt
-        self.rounding = rounding
-        self.rng = rng
-        self.block = block
-        self.head_dim = head_dim
-        self.capacity = capacity
         self.pool = pool
         self.owner = owner
         self.page_size = pool.page_size
         self._pages: list[int] = []
-        self.length = 0
-        self.sealed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -350,6 +349,16 @@ class PagedKVCache:
         need = self.pages_for(total) - len(self._pages)
         if need > 0:
             self._pages.extend(self.pool.checkout_pages(self.owner, need))
+
+    def free(self) -> int:
+        """Release every page back to the pool (finish/evict); returns count."""
+        released = len(self._pages)
+        if released:
+            self.pool.release_pages(self.owner, self._pages)
+        self._pages = []
+        self.length = 0
+        self.sealed = 0
+        return released
 
     def _spans(self, start: int, stop: int):
         """Yield (page, offset-in-page, position, count) covering [start, stop)."""
@@ -378,148 +387,28 @@ class PagedKVCache:
             out[0, :, pos : pos + take] = self.pool.v[page][:, off : off + take]
         return out
 
-    def reset(self) -> None:
-        """Forget the history (pages are kept for the next prefill)."""
-        self.length = 0
-        self.sealed = 0
-
-    def rewind(self) -> None:
-        """Drop the unsealed suffix; the next append recomputes it."""
-        self.length = self.sealed
-
-    def free(self) -> int:
-        """Release every page back to the pool (finish/evict); returns count."""
-        released = len(self._pages)
-        if released:
-            self.pool.release_pages(self.owner, self._pages)
-        self._pages = []
-        self.length = 0
-        self.sealed = 0
-        return released
-
     # ------------------------------------------------------------------
-    def _quantize_k(self, k_new: np.ndarray) -> np.ndarray:
-        """Per-position quantization along ``head_dim`` (as :class:`KVCache`)."""
-        if self.fmt is None:
-            return k_new
-        if self.block is not None and self.head_dim <= self.block:
-            return quantize_partial_block(
-                k_new, self.fmt, axis=-1, rounding=self.rounding, rng=self.rng
-            )
-        return self.fmt.quantize(k_new, axis=-1, rounding=self.rounding, rng=self.rng)
-
-    def _scatter_k(self, kq_t: np.ndarray, t0: int) -> None:
-        """Write pre-transposed K columns ``[t0, t0 + t_new)`` into pages."""
-        written = 0
-        for page, off, _, take in self._spans(t0, t0 + kq_t.shape[-1]):
+    def _write_k(self, kq_t: np.ndarray, t0: int) -> None:
+        for page, off, pos, take in self._spans(t0, t0 + kq_t.shape[-1]):
             self.pool.kT[page][:, :, off : off + take] = (
-                kq_t[0, :, :, written : written + take]
+                kq_t[0, :, :, pos - t0 : pos - t0 + take]
             )
-            written += take
 
-    def _scatter_v(self, vq: np.ndarray, t0: int) -> None:
-        """Write quantized V rows ``[t0, t0 + t_new)`` into pages."""
-        written = 0
-        for page, off, _, take in self._spans(t0, t0 + vq.shape[2]):
-            self.pool.v[page][:, off : off + take] = vq[0, :, written : written + take]
-            written += take
+    def _write_v(self, vq: np.ndarray, t0: int) -> None:
+        for page, off, pos, take in self._spans(t0, t0 + vq.shape[2]):
+            self.pool.v[page][:, off : off + take] = vq[0, :, pos - t0 : pos - t0 + take]
 
-    def append(
-        self,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        spec=...,
-        *,
-        k_quantized: bool = False,
-        defer_tail: bool = False,
-    ) -> None:
-        """Extend the cache with raw projections of new positions.
+    def _tail_page(self) -> int:
+        return self._pages[self.sealed // self.block]
 
-        Same contract and quantization sequence as :meth:`KVCache.append`
-        (including ``k_quantized``/``defer_tail``); only the destination
-        is paged.  Page growth happens first and is all-or-nothing, so
-        ``PoolExhausted`` never leaves a half-appended cache.
-        """
-        if spec is not ... and spec is not self.spec:
-            raise ValueError(
-                "attention quant spec changed since this PagedKVCache was "
-                "built; create a fresh decode state after re-casting a model"
-            )
-        t_new = k_new.shape[2]
-        t0 = self.length
-        if t0 + t_new > self.capacity:
-            raise ValueError(
-                f"KV cache overflow: {t0} cached + {t_new} new > "
-                f"capacity {self.capacity}"
-            )
-        self.reserve(t0 + t_new)
-        kq = k_new if k_quantized else self._quantize_k(k_new)
-        self._scatter_k(np.swapaxes(kq, -1, -2), t0)
-
-        if self.fmt is None:
-            self._scatter_v(np.asarray(v_new), t0)
-            self.length = self.sealed = t0 + t_new
-            return
-        if self.block == 1:
-            self._scatter_v(
-                self.fmt.quantize(v_new, axis=-2, rounding=self.rounding, rng=self.rng),
-                t0,
-            )
-            self.length = self.sealed = t0 + t_new
-            return
-
-        block = self.block
-        pool = self.pool
-        consumed = 0
-        while consumed < t_new:
-            tail_len = self.length - self.sealed
-            remaining = t_new - consumed
-            if tail_len == 0 and remaining >= block:
-                # whole blocks seal in one aligned quantization, each
-                # landing as one frozen page
-                whole = (remaining // block) * block
-                chunk = v_new[:, :, consumed : consumed + whole]
-                self._scatter_v(
-                    self.fmt.quantize(
-                        chunk, axis=-2, rounding=self.rounding, rng=self.rng
-                    ),
-                    self.sealed,
-                )
-                self.sealed += whole
-                self.length += whole
-                consumed += whole
-                continue
-            take = min(block - tail_len, remaining)
-            page = self._pages[self.sealed // block]
-            pool.v_raw[page][:, tail_len : tail_len + take] = v_new[
-                0, :, consumed : consumed + take
-            ]
-            self.length += take
-            consumed += take
-            tail_len += take
-            if tail_len == block:
-                pool.v[page][:, :block] = quantize_partial_block(
-                    pool.v_raw[page][None], self.fmt, axis=-2,
-                    rounding=self.rounding, rng=self.rng,
-                )[0]
-                self.sealed += block
-        tail_len = self.length - self.sealed
-        if tail_len and not defer_tail:
-            page = self._pages[self.sealed // block]
-            pool.v[page][:, :tail_len] = quantize_partial_block(
-                pool.v_raw[page][None, :, :tail_len], self.fmt, axis=-2,
-                rounding=self.rounding, rng=self.rng,
-            )[0]
+    def _stage_tail(self, offset: int, rows: np.ndarray) -> None:
+        self.pool.v_raw[self._tail_page()][:, offset : offset + rows.shape[2]] = rows[0]
 
     def _tail_raw(self, tail_len: int) -> np.ndarray:
-        """Raw staged rows of the open tail, ``(1, H, tail_len, head_dim)``."""
-        page = self._pages[self.sealed // self.block]
-        return self.pool.v_raw[page][None, :, :tail_len]
+        return self.pool.v_raw[self._tail_page()][None, :, :tail_len]
 
     def _tail_store(self, tail_len: int, vq: np.ndarray) -> None:
-        """Write the requantized open tail back into its page."""
-        page = self._pages[self.sealed // self.block]
-        self.pool.v[page][:, :tail_len] = vq[0]
+        self.pool.v[self._tail_page()][:, :tail_len] = vq[0]
 
 
 class CrossKV:

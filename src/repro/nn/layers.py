@@ -6,7 +6,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..kernels.plan import checkout_scratch, release_scratch
 from . import functional as F
 from .precision import VectorPrecision, apply_vector_precision
 from .quantized import QuantSpec, memo_quantize, quantized_matmul
@@ -218,19 +217,13 @@ class LayerNorm(Module):
             # inference: replay F.layer_norm's exact ufunc sequence on the
             # raw array (same operations, same association order — mean as
             # sum times reciprocal, centering as adding the negation), so
-            # the output is bit-identical without ~10 autograd Tensor ops;
-            # one full-size allocation (the output) plus pooled scratch
+            # the output is bit-identical without ~10 autograd Tensor ops
             data = x.data
             inv_n = 1.0 / float(data.shape[-1])
             mu = data.sum(axis=-1, keepdims=True)
             mu *= inv_n
             out = np.add(data, -mu)
-            scratch = checkout_scratch(out.shape)
-            try:
-                np.multiply(out, out, out=scratch)
-                var = scratch.sum(axis=-1, keepdims=True)
-            finally:
-                release_scratch(scratch)
+            var = np.multiply(out, out).sum(axis=-1, keepdims=True)
             var *= inv_n
             var += self.eps
             np.sqrt(var, out=var)

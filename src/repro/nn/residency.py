@@ -30,22 +30,21 @@ toggleable stages build on residency:
   concatenated-weight matmul.
 
 ``REPRO_FUSION=0`` (or ``off``/``false``) disables all three at process
-start, restoring the exact pre-residency execution; tests and benchmarks
-toggle stages programmatically via :func:`configure_fusion` /
-:func:`fusion_disabled`.  Every stage is bit-identical to its unfused
-counterpart for the formats it engages on, so the toggle changes
-*schedules*, never values.
+start, leaving the kernels unchanged; tests and benchmarks toggle stages
+programmatically via :func:`configure_fusion` / :func:`fusion_disabled`.
+Every stage is bit-identical to its unfused counterpart for the formats
+it engages on, so the toggle changes *schedules*, never values.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.quantize import quantize_call_count, reset_quantize_calls
-from ..core.runtime_env import FUSION_ENV_VAR
 from .tensor import Tensor, is_grad_enabled
 
 # NOTE: :mod:`repro.nn.quantized` imports this module for the fusion
@@ -71,10 +70,17 @@ __all__ = [
 
 _STAGES = ("residency", "epilogue", "projections")
 
-# process-wide stage flags (serving worker threads share one schedule);
-# the dict lives in the tensor module — the lowest layer that consults a
-# flag — so no import cycle forms, but this module owns the public API
-from .tensor import _FUSION_FLAGS as _FLAGS
+#: Environment variable selecting the process-start schedule: ``0`` /
+#: ``off`` / ``false`` / ``no`` start with every fusion stage disabled;
+#: anything else enables them.
+FUSION_ENV_VAR = "REPRO_FUSION"
+
+# process-wide stage flags (serving worker threads share one schedule)
+_FLAGS = dict.fromkeys(
+    _STAGES,
+    os.environ.get(FUSION_ENV_VAR, "1").strip().lower()
+    not in ("0", "off", "false", "no"),
+)
 
 
 def fusion_enabled(stage: str = "epilogue") -> bool:
@@ -84,19 +90,6 @@ def fusion_enabled(stage: str = "epilogue") -> bool:
         return _FLAGS[stage]
     except KeyError:
         raise ValueError(f"unknown fusion stage {stage!r}; stages: {_STAGES}") from None
-
-
-def _sync_kernel_schedule() -> None:
-    """Propagate the epilogue stage into the kernel execution strategy.
-
-    The fast backend's single-buffer/tiled pow2 schedule is part of this
-    fusion work; with the epilogue stage off it reverts to the historical
-    two-buffer body so a ``REPRO_FUSION=0`` baseline reproduces the
-    pre-residency execution end to end (values identical either way).
-    """
-    from ..kernels.numpy_backend import set_legacy_schedule
-
-    set_legacy_schedule(not _FLAGS["epilogue"])
 
 
 def configure_fusion(
@@ -121,19 +114,17 @@ def configure_fusion(
     ):
         if value is not None:
             _FLAGS[stage] = bool(value)
-    _sync_kernel_schedule()
     return previous
 
 
 @contextlib.contextmanager
 def fusion_disabled():
-    """Run with every fusion stage off — the pre-residency schedule."""
+    """Run with every fusion stage off (on the same kernels)."""
     previous = configure_fusion(False)
     try:
         yield
     finally:
         _FLAGS.update(previous)
-        _sync_kernel_schedule()
 
 
 @contextlib.contextmanager
@@ -144,7 +135,6 @@ def fusion_configured(**stages):
         yield
     finally:
         _FLAGS.update(previous)
-        _sync_kernel_schedule()
 
 
 # ----------------------------------------------------------------------

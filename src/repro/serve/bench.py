@@ -134,13 +134,13 @@ def measure_forward_speedup(
     repeats: int = 8,
     seed: int = 0,
 ) -> dict:
-    """Batched scored-forward throughput: pre-residency vs fused schedule.
+    """Batched scored-forward throughput: fusion stages off vs fused schedule.
 
     The forward-path headline (``BENCH_forward.json``): one compiled model
     serves the same batched score stream twice per repeat — once with
     every fusion stage disabled (:func:`~repro.nn.residency
-    .fusion_disabled` restores the pre-residency execution end to end,
-    kernels included) and once with the resident/fused schedule.  The two
+    .fusion_disabled`, on the same kernels) and once with the
+    resident/fused schedule.  The two
     passes alternate within each repeat, so machine-load drift hits both
     sides equally; the reported ``speedup`` is the *median of the
     per-repeat ratios* (the drift-cancelling estimator), with best-of
@@ -182,7 +182,7 @@ def measure_forward_speedup(
         baseline_quant_calls = quantize_call_count() - calls_before
     if fused_results != baseline_results:
         raise AssertionError(
-            "fused and pre-residency schedules disagree; refusing to "
+            "fused and fusion-off schedules disagree; refusing to "
             "benchmark a speedup that changes results"
         )
 

@@ -56,8 +56,9 @@ def cache_stats() -> dict:
     """Process-wide cache snapshot (the residency observables).
 
     Keys: ``causal_mask`` and ``sinusoidal_positions`` (bounded LRU
-    stats), ``quant_plans`` (kernel plan cache + scratch accounting), and
-    ``quantize_calls`` (total BDR engine invocations so far).
+    stats), ``quant_plans`` (kernel plan cache: ``size``, ``hits``,
+    ``misses``, ``max_size``), and ``quantize_calls`` (total BDR engine
+    invocations so far).
     """
     from ..kernels.plan import plan_cache_info
     from ..nn.attention import causal_mask

@@ -614,9 +614,14 @@ class InferenceSession:
                     )
                 self.metrics.record_event("workers_replaced")
                 replacement = _WorkerState(state.slot)
+                # publish and start as one step under the cv: close() sets
+                # _closing under it, so it either sees a started thread it
+                # can join, or the watchdog sees _closing and gives up
                 with self._cv:
+                    if self._closing:
+                        return
                     self._worker_states[state.slot] = replacement
-                self._start_worker(replacement)
+                    self._start_worker(replacement)
 
     # ------------------------------------------------------------------
     # Lifecycle

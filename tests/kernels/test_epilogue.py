@@ -6,13 +6,7 @@ import pytest
 from repro.core.bdr import BDRConfig
 from repro.formats.registry import get_format
 from repro.kernels.base import EPILOGUES, gelu_reference
-from repro.kernels.numpy_backend import NumpyBackend, set_legacy_schedule
-from repro.kernels.plan import (
-    checkout_scratch,
-    clear_plan_cache,
-    plan_cache_info,
-    release_scratch,
-)
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 
 NUMPY = NumpyBackend()
@@ -72,58 +66,7 @@ class TestMatmulEpilogue:
             backend.matmul_epilogue(a, w, "bias", None)
 
 
-class TestScratchPool:
-    def test_checkout_release_roundtrip(self):
-        clear_plan_cache()
-        buf = checkout_scratch((7, 5))
-        assert buf.shape == (7, 5) and buf.dtype == np.float64
-        release_scratch(buf)
-        info = plan_cache_info()
-        assert info["pool_buffers"] == 1
-        again = checkout_scratch((7, 5))
-        assert again is buf  # pooled buffer reused
-        release_scratch(again)
-        clear_plan_cache()
-
-    def test_distinct_shapes_do_not_collide(self):
-        clear_plan_cache()
-        a = checkout_scratch((3, 4))
-        b = checkout_scratch((4, 3))
-        assert a.shape != b.shape
-        release_scratch(a)
-        release_scratch(b)
-        assert plan_cache_info()["pool_shapes"] == 2
-        clear_plan_cache()
-        assert plan_cache_info()["pool_buffers"] == 0
-
-    def test_scratch_bytes_never_negative(self):
-        clear_plan_cache()
-        bufs = [checkout_scratch((64, 64)) for _ in range(6)]
-        for buf in bufs:
-            release_scratch(buf)
-        info = plan_cache_info()
-        assert 0 <= info["scratch_bytes"] <= info["max_scratch_bytes"]
-        clear_plan_cache()
-        assert plan_cache_info()["scratch_bytes"] >= 0
-
-
 class TestScheduleVariants:
-    @pytest.mark.parametrize("name", ["mx4", "mx6", "mx9", "msfp12", "msfp16"])
-    @pytest.mark.parametrize(
-        "shape,axis", [((8, 64), -1), ((4, 8, 24), -1), ((3, 40, 7), 1), ((512, 96), -1)]
-    )
-    def test_legacy_schedule_bit_identical(self, rng, name, shape, axis):
-        """The pre-residency kernel body must agree with the current one."""
-        fmt = get_format(name)
-        x = rng.normal(size=shape)
-        current = fmt.quantize(x, axis=axis)
-        previous = set_legacy_schedule(True)
-        try:
-            legacy = fmt.quantize(x, axis=axis)
-        finally:
-            set_legacy_schedule(previous)
-        np.testing.assert_array_equal(current, legacy)
-
     @pytest.mark.parametrize("name", ["mx6", "mx9", "msfp12"])
     def test_tiled_large_call_bit_identical(self, rng, name):
         """Tiling along a batch axis cannot change fiber-local results."""

@@ -1,10 +1,9 @@
-"""Thread-safety of the plan LRU, scratch checkout, and scratch pool.
+"""Thread-safety of the plan LRU.
 
 The contention regression test for serving: ``InferenceSession`` workers
 drive the kernel subsystem from several threads at once, so concurrent
-``get_plan``/``checkout``/``release``/``checkout_scratch`` traffic — and
-even a hostile ``clear_plan_cache`` mid-flight — must never corrupt
-results or the scratch-byte accounting.
+``get_plan`` traffic — and even a hostile ``clear_plan_cache`` mid-flight
+— must never corrupt results or the cache bounds.
 """
 
 import threading
@@ -13,12 +12,7 @@ import numpy as np
 import pytest
 
 from repro.formats.registry import get_format
-from repro.kernels.plan import (
-    checkout_scratch,
-    clear_plan_cache,
-    plan_cache_info,
-    release_scratch,
-)
+from repro.kernels.plan import clear_plan_cache, plan_cache_info
 
 N_THREADS = 8
 ITERATIONS = 40
@@ -87,7 +81,6 @@ class TestConcurrentQuantization:
 
         _run_threads(worker)
         info = plan_cache_info()
-        assert 0 <= info["scratch_bytes"] <= info["max_scratch_bytes"]
         assert info["size"] <= info["max_size"]
 
     def test_clear_cache_mid_flight_is_safe(self):
@@ -115,29 +108,7 @@ class TestConcurrentQuantization:
             stop.set()
             chaos.join()
         info = plan_cache_info()
-        assert info["scratch_bytes"] >= 0
-
-
-class TestConcurrentScratchPool:
-    def test_no_buffer_served_twice_concurrently(self):
-        """Checked-out buffers are exclusive; accounting stays consistent."""
-        live = set()
-        lock = threading.Lock()
-
-        def worker(i):
-            for _ in range(ITERATIONS * 5):
-                buf = checkout_scratch((32, 32))
-                with lock:
-                    assert id(buf) not in live, "scratch buffer double-served"
-                    live.add(id(buf))
-                buf.fill(i)  # would corrupt a co-owner if shared
-                with lock:
-                    live.discard(id(buf))
-                release_scratch(buf)
-
-        _run_threads(worker)
-        info = plan_cache_info()
-        assert 0 <= info["scratch_bytes"] <= info["max_scratch_bytes"]
+        assert info["size"] <= info["max_size"]
 
 
 class TestSessionContention:

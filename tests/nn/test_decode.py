@@ -9,6 +9,7 @@ both kernel backends.
 import numpy as np
 import pytest
 
+from repro.core.quantize import quantize_call_count
 from repro.formats import get_format
 from repro.kernels import use_backend
 from repro.nn.attention import MultiHeadAttention, causal_mask
@@ -16,6 +17,7 @@ from repro.nn.decode import (
     CrossKV,
     DecodeState,
     KVCache,
+    PagedKVCache,
     supports_cached_decode,
 )
 from repro.nn.quantized import (
@@ -24,6 +26,7 @@ from repro.nn.quantized import (
     quantized_bmm_prequant,
 )
 from repro.nn.tensor import Tensor, no_grad
+from repro.serve.sched import PagePool
 
 BACKENDS = ("numpy", "reference")
 
@@ -39,19 +42,49 @@ def append_pattern(cache, k, v, sizes):
         start += size
 
 
+APPEND_PATTERNS = [[1] * 37, [10, 1, 1, 5, 16, 3, 1], [37], [16, 16, 5]]
+
+
+def make_storage(storage, spec, capacity=48):
+    """A batch-1 cache over contiguous buffers or pool pages of ``k1`` rows."""
+    if storage == "contiguous":
+        return make_cache(spec, batch=1, capacity=capacity)
+    block = spec.activation.block_size()
+    pool = PagePool(2, 12, block, total_pages=-(-capacity // block))
+    return PagedKVCache(pool, "s0", 2, 12, capacity, spec)
+
+
+def run_append_pattern(storage, spec, k, v, sizes):
+    """The filled cache and the engine calls its appends made."""
+    cache = make_storage(storage, spec)
+    before = quantize_call_count()
+    append_pattern(cache, k, v, sizes)
+    return cache, quantize_call_count() - before
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fmt_name", ["mx6", "mx9", "mx4"])
-@pytest.mark.parametrize("sizes", [[1] * 37, [10, 1, 1, 5, 16, 3, 1], [37], [16, 16, 5]])
-def test_cache_payloads_match_full_quantize(backend, fmt_name, sizes):
-    """Sealed blocks + requantized tail == one full-tensor quantization."""
+@pytest.mark.parametrize(
+    "sizes,storage",
+    [pytest.param(sizes, "contiguous", id=f"sizes{i}")
+     for i, sizes in enumerate(APPEND_PATTERNS)]
+    + [pytest.param(sizes, "paged", id=f"sizes{i}-paged")
+       for i, sizes in enumerate(APPEND_PATTERNS)],
+)
+def test_cache_payloads_match_full_quantize(backend, fmt_name, sizes, storage):
+    """Sealed blocks + requantized tail == one full-tensor quantization.
+
+    Both storages run the one cache algorithm, so they must also make the
+    same number of quantization-engine calls for every append pattern.
+    """
     spec = QuantSpec.inference(fmt_name, activation=fmt_name)
     rng = np.random.default_rng(7)
     total = sum(sizes)
-    k = rng.normal(size=(2, 2, total, 12))
-    v = rng.normal(size=(2, 2, total, 12))
+    k = rng.normal(size=(1, 2, total, 12))
+    v = rng.normal(size=(1, 2, total, 12))
     with use_backend(backend):
-        cache = make_cache(spec)
-        append_pattern(cache, k, v, sizes)
+        cache, calls = run_append_pattern(storage, spec, k, v, sizes)
+        _, contiguous_calls = run_append_pattern("contiguous", spec, k, v, sizes)
         fmt = spec.activation
         expect_kT = fmt.quantize(np.swapaxes(k, -1, -2), axis=-2)
         expect_v = fmt.quantize(v, axis=-2)
@@ -59,6 +92,7 @@ def test_cache_payloads_match_full_quantize(backend, fmt_name, sizes):
     np.testing.assert_array_equal(cache.values, expect_v)
     assert cache.length == total
     assert cache.sealed == (total // fmt.block_size()) * fmt.block_size()
+    assert calls == contiguous_calls > 0
 
 
 def test_cache_fp32_passthrough():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.quantize import quantize_call_count, reset_quantize_calls
 from repro.formats.registry import get_format
-from repro.kernels.numpy_backend import legacy_schedule
 from repro.nn.layers import Linear
 from repro.nn.quantized import QuantSpec, quantized_matmul
 from repro.nn.residency import (
@@ -136,12 +135,6 @@ class TestFusionSwitchboard:
                 assert not fusion_enabled("projections")
             assert not fusion_enabled("epilogue")
         assert fusion_enabled("residency")
-
-    def test_kernel_schedule_follows_epilogue_stage(self):
-        assert not legacy_schedule()
-        with fusion_disabled():
-            assert legacy_schedule()
-        assert not legacy_schedule()
 
 
 class TestEligibility:

@@ -31,7 +31,7 @@ class TestCacheStats:
         for key in ("causal_mask", "sinusoidal_positions"):
             assert {"hits", "misses", "size", "max_size"} <= set(stats[key])
             assert stats[key]["max_size"] is not None  # explicitly bounded
-        assert "scratch_bytes" in stats["quant_plans"]
+        assert set(stats["quant_plans"]) == {"size", "hits", "misses", "max_size"}
         assert stats["quantize_calls"] >= 0
 
     def test_session_summary_reports_caches_and_calls(self, serving):

@@ -163,6 +163,58 @@ class TestCloseVsWatchdogReplacement:
         assert summary["reliability"]["hung"] >= 1
         assert summary["reliability"]["workers_replaced"] >= 1
 
+    def test_close_in_the_replacement_gap_never_meets_an_unstarted_worker(
+        self, monkeypatch
+    ):
+        """Deterministic reproducer of the watchdog publish-before-start race.
+
+        The patched ``_start_worker`` runs ``close()`` on another thread
+        right after the watchdog published the replacement and before the
+        replacement starts, and gives it half a second to get going.  The
+        watchdog must make publish-and-start one step that ``close()``
+        cannot split: the replacement starts before ``close()`` begins,
+        or is never started at all.
+        """
+        session = lifecycle_session(
+            workers=1, watchdog_interval=0.03, hang_timeout=0.1
+        )
+        start_worker = session._start_worker
+        in_gap = threading.Event()
+        closing_at_start = []
+        close_errors = []
+
+        def closer():
+            try:
+                session.close(timeout=0.3)
+            except BaseException as error:  # the race surfaces here
+                close_errors.append(error)
+
+        closing = threading.Thread(target=closer)
+
+        def gated_start(state):
+            in_gap.set()
+            closing.start()
+            deadline = time.monotonic() + 0.5
+            while not session._closing and time.monotonic() < deadline:
+                time.sleep(0.005)
+            closing_at_start.append(session._closing)
+            start_worker(state)
+
+        monkeypatch.setattr(session, "_start_worker", gated_start)
+        hung = session.submit({"task": "classify", "value": "hang", "sleep": 0.8})
+        pending = [
+            session.submit({"task": "classify", "value": i}) for i in range(4)
+        ]
+        assert in_gap.wait(timeout=5), "the watchdog never replaced the worker"
+        closing.join(timeout=10)
+        assert not closing.is_alive(), "close() hung"
+        assert not close_errors, close_errors
+        assert closing_at_start == [False], (
+            "the watchdog started a replacement worker after close() began"
+        )
+        for future in pending + [hung]:
+            assert future.done(), "close() during replacement dropped a future"
+
     def test_close_while_worker_still_hung_fails_outstanding(self):
         session = lifecycle_session(
             workers=1, watchdog_interval=0.05, hang_timeout=10.0
